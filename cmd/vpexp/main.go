@@ -15,9 +15,11 @@
 //	vpexp -batch 64 [-progen-seed 1] [-mach 4-wide] [-j N]
 //
 // -j bounds the worker pool the experiment cells fan across; any value
-// renders byte-identical tables. -oracle differentially tests the
-// dual-engine simulator against the sequential interpreter over the full
-// benchmark/configuration grid and exits nonzero on any divergence.
+// renders byte-identical tables. -oracle runs the conformance battery
+// (internal/conform) over every stock kernel on the kernel lattice of the
+// -mach machine — the simulator against the sequential interpreter, among
+// the other invariants — printing one line per kernel and exiting nonzero
+// on any violation.
 //
 // -conform runs the metamorphic conformance suite (internal/conform):
 // -progen-count generated programs starting at -progen-seed, each checked
@@ -87,7 +89,6 @@ import (
 	"vliwvp/internal/ir"
 	"vliwvp/internal/machine"
 	"vliwvp/internal/obs"
-	"vliwvp/internal/oracle"
 	"vliwvp/internal/pipeline"
 	"vliwvp/internal/predict"
 	"vliwvp/internal/progen"
@@ -291,7 +292,7 @@ func main() {
 		return nil
 	})
 	run("baseline", func() error {
-		t, _, err := exp.RenderBaseline(r, exp.DefaultICache)
+		t, _, err := exp.RenderBaseline(r)
 		if err != nil {
 			return err
 		}
@@ -552,27 +553,29 @@ func runConform(seed int64, n, jobs int) {
 	}
 }
 
-// runOracle sweeps the standard differential-testing grid and reports one
-// line per cell. Any divergence (or harness failure) exits nonzero.
+// runOracle checks every stock kernel on the machine's kernel lattice and
+// reports one line per kernel. Any violation (or harness failure) exits
+// nonzero.
 func runOracle(d *machine.Desc, jobs int) {
-	cells := oracle.StandardCells(workload.All(), []*machine.Desc{d})
-	divs, err := oracle.CheckGrid(cells, jobs)
+	benches := workload.All()
+	lattice := conform.KernelLattice(d)
+	fails, _, err := conform.CheckBenchmarks(benches, conform.Options{Jobs: jobs, Lattice: lattice})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vpexp: oracle: %v\n", err)
 		os.Exit(1)
 	}
 	bad := 0
-	for i, cell := range cells {
-		if divs[i] == nil {
-			fmt.Printf("ok      %-14s %s\n", cell.Bench.Name, cell.Label)
+	for i, b := range benches {
+		if fails[i] == nil {
+			fmt.Printf("ok   %s\n", b.Name)
 			continue
 		}
 		bad++
-		fmt.Printf("DIVERGE %-14s %s\n        %v\n", cell.Bench.Name, cell.Label, divs[i])
+		fmt.Printf("FAIL %s\n%s", b.Name, fails[i].Report())
 	}
 	if bad > 0 {
-		fmt.Printf("oracle: %d of %d cells diverged\n", bad, len(cells))
+		fmt.Printf("oracle: %d of %d kernels failed\n", bad, len(benches))
 		os.Exit(1)
 	}
-	fmt.Printf("oracle: %d cells, no divergence\n", len(cells))
+	fmt.Printf("oracle: %d kernels x %d cells, no violation\n", len(benches), len(lattice))
 }

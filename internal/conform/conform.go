@@ -21,11 +21,18 @@
 //     counters, and the published metrics snapshot all agree (every
 //     buffered entry is eventually flushed or re-executed, every
 //     prediction is checked and resolved, every stall event has its
-//     counter).
+//     counter), and every cycle is accounted for: Cycles equals Instrs
+//     plus the sum of the stall counters.
+//
+// The same battery runs over named programs (CheckSource) and the stock
+// kernels (CheckBenchmarks, over KernelLattice), so one harness is the
+// simulator's only differential check against the interpreter.
 //
 // A violated invariant produces a Failure carrying the seed and a
 // shrunken program (progen.Minimize re-runs the harness while deleting
-// fragments), so every report is a one-command reproduction.
+// fragments), so every report is a one-command reproduction. An "arch"
+// failure also carries its minimized machine configuration: the scheme-map
+// entries and the smallest CCB capacity that still reproduce it.
 package conform
 
 import (
@@ -46,6 +53,7 @@ import (
 	"vliwvp/internal/profile"
 	"vliwvp/internal/progen"
 	"vliwvp/internal/speculate"
+	"vliwvp/internal/workload"
 )
 
 // mgr executes every conformance pipeline run. Generated programs are
@@ -79,8 +87,8 @@ type Cell struct {
 }
 
 // DefaultLattice spans machine widths, CCB pressure, recovery models, and
-// speculation aggressiveness. Like the oracle, cells with a small CCB
-// clamp the transform's Synchronization-bit window to the capacity so the
+// speculation aggressiveness. Cells with a small CCB clamp the
+// transform's Synchronization-bit window to the capacity so the
 // speculative window always fits the buffer (the deadlock-freedom
 // co-design constraint).
 func DefaultLattice() []Cell {
@@ -93,6 +101,17 @@ func DefaultLattice() []Cell {
 		{Name: "w4-thresh50", D: machine.W4, Threshold: 0.5},
 		{Name: "w4-serial", D: machine.W4, SerialRecovery: true, Ctrl: machine.DefaultControl()},
 		{Name: "w8-serial-bp0", D: machine.W8, SerialRecovery: true},
+	}
+}
+
+// KernelLattice is the stock-kernel grid at one machine width: the
+// dual-engine machine at the default and at a 4-entry CCB, and the
+// serial-recovery machine with the default taken-branch penalty.
+func KernelLattice(d *machine.Desc) []Cell {
+	return []Cell{
+		{Name: "dual/" + d.Name, D: d},
+		{Name: "dual-ccb4/" + d.Name, D: d, CCBCapacity: 4},
+		{Name: "serial/" + d.Name, D: d, SerialRecovery: true, Ctrl: machine.DefaultControl()},
 	}
 }
 
@@ -228,20 +247,32 @@ func (o Options) withDefaults() Options {
 
 // Failure reports one violated invariant, minimized.
 type Failure struct {
-	Seed      int64
+	Program   string // "seed N" for generated programs, else the caller's name
+	Seed      int64  // generator seed (0 for named programs)
 	Invariant string // "arch", "perfect", "ccb-monotone", "metrics"
 	Cell      string
 	Detail    string
 	Source    string // minimized VL program reproducing the violation
+	// Schemes and CCB minimize an "arch" failure that a plain run of its
+	// cell reproduces: the scheme-map entries it needs (unlisted sites use
+	// the stride predictor) and the smallest CCB capacity that still
+	// fails. Schemes is nil when there is no such repro.
+	Schemes map[int]profile.Scheme
+	CCB     int
 }
 
 // Report renders the failure with everything needed to reproduce it.
 func (f *Failure) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "conformance: invariant %q violated (cell %s, seed %d)\n", f.Invariant, f.Cell, f.Seed)
+	fmt.Fprintf(&b, "conformance: invariant %q violated (cell %s, program %s)\n", f.Invariant, f.Cell, f.Program)
 	fmt.Fprintf(&b, "  %s\n", f.Detail)
-	fmt.Fprintf(&b, "  reproduce: vpexp -conform -progen-seed %d -progen-count 1\n", f.Seed)
-	b.WriteString("  minimized program:\n")
+	if f.Schemes != nil {
+		fmt.Fprintf(&b, "  minimal repro: ccb=%d schemes=%v (unlisted sites use the stride predictor)\n", f.CCB, f.Schemes)
+	}
+	if f.Seed != 0 {
+		fmt.Fprintf(&b, "  reproduce: vpexp -conform -progen-seed %d -progen-count 1\n", f.Seed)
+	}
+	b.WriteString("  program:\n")
 	for _, line := range strings.Split(strings.TrimRight(f.Source, "\n"), "\n") {
 		fmt.Fprintf(&b, "\t%s\n", line)
 	}
@@ -325,22 +356,61 @@ func Run(startSeed int64, n int, opt Options) ([]*Failure, Stats, error) {
 func CheckSeed(seed int64, opt Options) (*Failure, Stats, error) {
 	opt = opt.withDefaults()
 	spec := progen.Generate(seed, opt.Gen)
-	fail, stats, err := checkSpec(spec, opt)
+	name := fmt.Sprintf("seed %d", seed)
+	fail, stats, err := check(name, progen.Render(spec), opt)
 	if err != nil || fail == nil {
 		return nil, stats, err
 	}
 	min := progen.Minimize(spec, func(s progen.Spec) bool {
-		f, _, err := checkSpec(s, opt)
+		f, _, err := check(name, progen.Render(s), opt)
 		return err == nil && f != nil && f.Invariant == fail.Invariant
 	})
-	// Re-derive the failure from the minimized spec so cell and detail
-	// describe the program actually reported.
-	if f, _, err := checkSpec(min, opt); err == nil && f != nil {
+	// Re-derive the failure from the minimized spec so cell, detail and
+	// repro describe the program actually reported.
+	if f, _, err := CheckSource(name, progen.Render(min), opt); err == nil && f != nil {
 		fail = f
 	}
 	fail.Seed = seed
 	fail.Source = progen.Render(min)
 	return fail, stats, nil
+}
+
+// CheckSource checks every invariant across the lattice for one named VL
+// program and returns the first violation. An "arch" failure comes back
+// with its machine configuration minimized (see shrinkArch).
+func CheckSource(name, src string, opt Options) (*Failure, Stats, error) {
+	opt = opt.withDefaults()
+	s, err := load(name, src)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	fail, stats, err := s.check(opt)
+	if err == nil && fail != nil && fail.Invariant == "arch" {
+		err = s.shrinkArch(fail, opt)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	return fail, stats, nil
+}
+
+// CheckBenchmarks runs CheckSource over stock kernels, fanned across
+// opt.Jobs workers. Failures come back in input order, nil where a kernel
+// passed.
+func CheckBenchmarks(benches []*workload.Benchmark, opt Options) ([]*Failure, Stats, error) {
+	opt = opt.withDefaults()
+	fails := make([]*Failure, len(benches))
+	stats := make([]Stats, len(benches))
+	err := pool.ForEach(opt.Jobs, len(benches), func(i int) error {
+		var err error
+		fails[i], stats[i], err = CheckSource(benches[i].Name, benches[i].Source, opt)
+		return err
+	})
+	var total Stats
+	for i := range stats {
+		total.add(stats[i])
+	}
+	return fails, total, err
 }
 
 // Compile runs the conformance front end — lower, optimize, value
@@ -365,48 +435,154 @@ type refResult struct {
 	mem    []uint64
 }
 
-// checkSpec runs the full invariant battery over one spec and returns the
-// first violation (cells in lattice order, arch before metrics before
-// perfect within a cell, then the CCB monotonicity sweep).
-func checkSpec(spec progen.Spec, opt Options) (*Failure, Stats, error) {
-	src := progen.Render(spec)
+// subject is one program under test: its compiled front end and the
+// interpreter's reference outcome.
+type subject struct {
+	name string
+	src  string
+	prog *ir.Program
+	prof *profile.Profile
+	ref  *refResult
+}
+
+// load compiles a program and runs the reference interpreter over it.
+func load(name, src string) (*subject, error) {
 	prog, prof, err := Compile(src)
 	if err != nil {
-		// A generated program that fails to compile, optimize to valid IR,
-		// or profile is harness breakage, always a bug; the PassError names
+		// A program that fails to compile, optimize to valid IR, or
+		// profile is harness breakage, always a bug; the PassError names
 		// the offending pass.
-		return nil, Stats{}, fmt.Errorf("conform: seed %d front end: %w", spec.Seed, err)
+		return nil, fmt.Errorf("conform: %s front end: %w", name, err)
 	}
-
 	m := interp.New(prog)
 	v, err := m.Run("main")
 	if err != nil {
-		return nil, Stats{}, fmt.Errorf("conform: seed %d interp: %w", spec.Seed, err)
+		return nil, fmt.Errorf("conform: %s interp: %w", name, err)
 	}
 	ref := &refResult{value: v, output: m.Output, mem: append([]uint64(nil), m.Mem...)}
+	return &subject{name: name, src: src, prog: prog, prof: prof, ref: ref}, nil
+}
 
+// check loads a program and runs the invariant battery, without shrinking.
+func check(name, src string, opt Options) (*Failure, Stats, error) {
+	s, err := load(name, src)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return s.check(opt)
+}
+
+// check runs the full invariant battery and returns the first violation
+// (cells in lattice order, arch before metrics before perfect within a
+// cell, then the CCB monotonicity sweep).
+func (s *subject) check(opt Options) (*Failure, Stats, error) {
 	stats := Stats{Programs: 1}
+	found := func(f *Failure) (*Failure, Stats, error) {
+		if f != nil {
+			f.Program, f.Source = s.name, s.src
+		}
+		return f, stats, nil
+	}
 	baseCycles := map[*machine.Desc]int64{}
 	for _, cell := range opt.Lattice {
-		fail, err := checkCell(prog, prof, ref, cell, opt, baseCycles, &stats)
+		fail, err := checkCell(s.prog, s.prof, s.ref, cell, opt, baseCycles, &stats)
 		if err != nil {
-			return nil, stats, fmt.Errorf("conform: seed %d cell %s: %w", spec.Seed, cell.Name, err)
+			return nil, stats, fmt.Errorf("conform: %s cell %s: %w", s.name, cell.Name, err)
 		}
 		if fail != nil {
-			return fail, stats, nil
+			return found(fail)
 		}
 	}
-	fail, err := checkMonotone(prog, prof, ref, opt, &stats)
+	fail, err := checkMonotone(s.prog, s.prof, s.ref, opt, &stats)
 	if err != nil {
-		return nil, stats, fmt.Errorf("conform: seed %d: %w", spec.Seed, err)
+		return nil, stats, fmt.Errorf("conform: %s: %w", s.name, err)
 	}
-	return fail, stats, nil
+	return found(fail)
+}
+
+// shrinkArch minimizes an "arch" failure's machine configuration:
+// greedily drop scheme-map entries, then find the smallest CCB capacity
+// in 1, 2, 4, ... below the cell's that still fails. A trial counts only
+// if it fails the way a plain run of the cell does — a mismatch for a mismatch,
+// a simulator error for a simulator error — so a small CCB that merely
+// wedges the machine is not a smaller repro of a wrong value. Trials stop
+// at 2^24 cycles. A failure no plain run reproduces (the CCB sweep,
+// perfect replay, an invalid transform) is left without a repro.
+func (s *subject) shrinkArch(f *Failure, opt Options) error {
+	var cell *Cell
+	for i := range opt.Lattice {
+		if opt.Lattice[i].Name == f.Cell {
+			cell = &opt.Lattice[i]
+		}
+	}
+	if cell == nil {
+		return nil
+	}
+	res, schemes, err := transform(s.prog, s.prof, *cell)
+	if err != nil {
+		return nil
+	}
+	img, err := scheduleDecode(res.Prog, cell.D)
+	if err != nil {
+		return err
+	}
+	capacity := cell.CCBCapacity
+	if capacity <= 0 {
+		capacity = core.DefaultCCBCapacity
+	}
+	// trial classifies one run: "" (agrees), "error" or "mismatch".
+	trial := func(schemes map[int]profile.Scheme, ccb int) string {
+		sim := core.NewSimulatorFromImage(img, schemes)
+		applyCell(sim, *cell)
+		sim.CCBCapacity = ccb
+		sim.MaxCycles = 1 << 24
+		if opt.Tamper != nil {
+			opt.Tamper(sim)
+		}
+		v, err := sim.Run("main")
+		if err != nil {
+			return "error"
+		}
+		if archDiff(s.ref, v, sim) != "" {
+			return "mismatch"
+		}
+		return ""
+	}
+	kind := trial(schemes, capacity)
+	if kind == "" {
+		return nil
+	}
+	ids := make([]int, 0, len(schemes))
+	for id := range schemes {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	min := schemes
+	for _, id := range ids {
+		pruned := make(map[int]profile.Scheme, len(min))
+		for k, v := range min {
+			if k != id {
+				pruned[k] = v
+			}
+		}
+		if trial(pruned, capacity) == kind {
+			min = pruned
+		}
+	}
+	f.Schemes, f.CCB = min, capacity
+	for c := 1; c < capacity; c *= 2 {
+		if trial(min, c) == kind {
+			f.CCB = c
+			break
+		}
+	}
+	return nil
 }
 
 // transform applies the speculation pass for a cell, clamping the
-// Synchronization-bit window to the CCB capacity (the same co-design rule
-// oracle.Config enforces). The pass manager validates the transformed
-// program; callers map a validation error (pipeline.IsValidation) to an
+// Synchronization-bit window to the CCB capacity (the deadlock-freedom
+// co-design rule). The pass manager validates the transformed program;
+// callers map a validation error (pipeline.IsValidation) to an
 // "arch" invariant failure rather than harness breakage.
 func transform(prog *ir.Program, prof *profile.Profile, cell Cell) (*speculate.Result, map[int]profile.Scheme, error) {
 	cfg := speculate.DefaultConfig(cell.D)
@@ -632,6 +808,7 @@ func checkCell(prog *ir.Program, prof *profile.Profile, ref *refResult, cell Cel
 	for r, id := range recIDs {
 		logs[id] = r.Log
 	}
+	sim.Sink = nil // invariant 4 was checked above; the replay run needs no events
 	sim.NewPredictor = func(id int) predict.Predictor {
 		return &predict.Replay{Seq: logs[id]}
 	}
@@ -788,15 +965,12 @@ func checkMonotone(prog *ir.Program, prof *profile.Profile, ref *refResult, opt 
 // countSink tallies the typed event stream for the self-consistency
 // invariant.
 type countSink struct {
-	kinds      map[obs.Kind]int64
-	resolveBad int64 // trusted (non-gated) resolves with a wrong prediction
-	gatedBad   int64 // gated resolves whose prediction was wrong
+	kinds      [256]int64 // indexed by obs.Kind
+	resolveBad int64      // trusted (non-gated) resolves with a wrong prediction
+	gatedBad   int64      // gated resolves whose prediction was wrong
 }
 
 func (c *countSink) Event(e *obs.Event) {
-	if c.kinds == nil {
-		c.kinds = map[obs.Kind]int64{}
-	}
 	c.kinds[e.Kind]++
 	if e.Kind == obs.KindCheckResolve && !e.Correct {
 		if e.Gated {
@@ -817,6 +991,8 @@ func (c *countSink) diff(sim *core.Simulator, cell Cell) string {
 		a, b int64
 	}
 	checks := []eq{
+		{"Cycles vs Instrs+StallSync+StallScore+StallCCB+StallBar+StallRecovery+StallRedirect+StallIFetch", sim.Cycles,
+			sim.Instrs + sim.StallSync + sim.StallScore + sim.StallCCB + sim.StallBar + sim.StallRecovery + sim.StallRedirect + sim.StallIFetch},
 		{"ldpred-issue events vs Predictions", k(obs.KindLdPredIssue), sim.Predictions},
 		{"pred-suppress events vs Suppressed", k(obs.KindPredSuppress), sim.Suppressed},
 		{"check-issue events vs Predictions+Suppressed", k(obs.KindCheckIssue), sim.Predictions + sim.Suppressed},

@@ -2,11 +2,15 @@ package conform
 
 import (
 	"flag"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"vliwvp/internal/core"
+	"vliwvp/internal/machine"
+	"vliwvp/internal/progen"
+	"vliwvp/internal/workload"
 )
 
 // -seeds sets the per-run program budget; CI pins it to 200 in the
@@ -285,5 +289,207 @@ func TestCheckSeedCleanPasses(t *testing.T) {
 		if f != nil {
 			t.Fatalf("seed %d failed:\n%s", seed, f.Report())
 		}
+	}
+}
+
+// -fuzz-seeds sets the random-cell sweep's program budget; CI's oracle
+// job pins it to 32.
+var fuzzSeedBudget = flag.Int("fuzz-seeds", 20, "number of generated programs the random-cell sweep checks")
+
+// randomCell draws one machine configuration per seed: stock width,
+// speculation threshold, CCB capacity (down to a single entry), and
+// recovery model.
+func randomCell(seed int64) Cell {
+	rng := rand.New(rand.NewSource(seed))
+	stock := machine.Stock()
+	d := stock[rng.Intn(len(stock))]
+	cell := Cell{Name: "random", D: d,
+		Threshold:   []float64{0.50, 0.65, 0.80}[rng.Intn(3)],
+		CCBCapacity: []int{0, 1, 2, 3, 4, 8, 64}[rng.Intn(7)],
+	}
+	if rng.Intn(2) == 1 {
+		cell.SerialRecovery = true
+		cell.Ctrl.BranchPenalty = rng.Intn(3)
+	}
+	return cell
+}
+
+func checkRandomCell(t *testing.T, seed int64) {
+	t.Helper()
+	cell := randomCell(seed)
+	f, _, err := CheckSeed(seed, Options{Lattice: []Cell{cell}})
+	if err != nil {
+		t.Fatalf("seed %d (%+v): harness error: %v", seed, cell, err)
+	}
+	if f != nil {
+		t.Errorf("seed %d (%+v):\n%s", seed, cell, f.Report())
+	}
+}
+
+// TestRandomCellSweep checks each generated program on one randomly drawn
+// machine configuration, so the sweep covers corners (odd CCB sizes, high
+// thresholds, wide serial machines) no fixed lattice names.
+func TestRandomCellSweep(t *testing.T) {
+	n := *fuzzSeedBudget
+	if testing.Short() && n > 4 {
+		n = 4
+	}
+	for seed := int64(1); seed <= int64(n); seed++ {
+		checkRandomCell(t, seed)
+	}
+}
+
+// FuzzRandomCell exposes the random-cell property to `go test -fuzz`,
+// with the sweep's first seeds as corpus.
+func FuzzRandomCell(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkRandomCell)
+}
+
+// mixedSrc speculates well but mispredicts often — the kind of program
+// where a recovery bug in the simulator would surface. It prints, so the
+// output channel is compared too.
+const mixedSrc = `
+var a[256]
+var out[256]
+func main() {
+	for var i = 0; i < 256; i = i + 1 {
+		if i % 8 < 7 { a[i] = 5 } else { a[i] = (i * 2654435761) % 1000 }
+	}
+	var s = 0
+	for var i = 0; i < 256; i = i + 1 {
+		var x = a[i]
+		var y = x * 3 + 7
+		out[i] = y
+		s = s + y
+	}
+	print(s)
+	return s
+}`
+
+// TestCheckSourceAgrees runs the battery over a named program on both
+// recovery models and a starved CCB.
+func TestCheckSourceAgrees(t *testing.T) {
+	lattice := []Cell{
+		{Name: "w4-dual", D: machine.W4},
+		{Name: "w4-ccb2", D: machine.W4, CCBCapacity: 2},
+		{Name: "w8-serial", D: machine.W8, SerialRecovery: true, Ctrl: machine.DefaultControl()},
+		{Name: "w4-serial-bp0", D: machine.W4, SerialRecovery: true},
+	}
+	f, st, err := CheckSource("mixed", mixedSrc, Options{Lattice: lattice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != nil {
+		t.Fatalf("unexpected failure:\n%s", f.Report())
+	}
+	if st.Mispredicts == 0 {
+		t.Error("mixed program never mispredicted: the recovery paths went untested")
+	}
+}
+
+// TestDiffDetectsAndMinimizes drives the failure path with a doctored
+// reference, since the simulator (correctly) agrees with the real one:
+// every doctored observable must show up in archDiff, and a wrong return
+// value — which reproduces under any configuration — must shrink to an
+// empty scheme map and a CCB below the default.
+func TestDiffDetectsAndMinimizes(t *testing.T) {
+	s, err := load("mixed", mixedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := Cell{Name: "w4-dual", D: machine.W4}
+	cp, err := PrepareCell(s.prog, s.prof, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Schemes) == 0 {
+		t.Fatal("mixed program has no prediction sites")
+	}
+	sim := cp.NewSim(cell)
+	v, err := sim.Run("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.ref
+	if d := archDiff(ref, v, sim); d != "" {
+		t.Fatalf("honest diff: %s", d)
+	}
+	line := append([]string(nil), ref.output...)
+	line[0] += "0"
+	word := append([]uint64(nil), ref.mem...)
+	word[len(word)-1]++
+	for name, doctored := range map[string]*refResult{
+		"value":       {value: ref.value + 1, output: ref.output, mem: ref.mem},
+		"output line": {value: ref.value, output: line, mem: ref.mem},
+		"memory word": {value: ref.value, output: ref.output, mem: word},
+		"memory size": {value: ref.value, output: ref.output, mem: ref.mem[:len(ref.mem)-1]},
+	} {
+		if archDiff(doctored, v, sim) == "" {
+			t.Errorf("doctored %s went unnoticed", name)
+		}
+	}
+
+	s.ref = &refResult{value: ref.value + 1, output: ref.output, mem: ref.mem}
+	f := &Failure{Invariant: "arch", Cell: cell.Name}
+	if err := s.shrinkArch(f, Options{Lattice: []Cell{cell}}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Schemes == nil || len(f.Schemes) != 0 {
+		t.Errorf("minimization left scheme map %v, want empty", f.Schemes)
+	}
+	if f.CCB <= 0 || f.CCB >= core.DefaultCCBCapacity {
+		t.Errorf("minimization reported CCB %d, want in [1, %d)", f.CCB, core.DefaultCCBCapacity)
+	}
+}
+
+// TestCheckBenchmarks runs the battery over the stock kernels on the
+// kernel lattice, in parallel.
+func TestCheckBenchmarks(t *testing.T) {
+	benches := workload.All()
+	if testing.Short() {
+		benches = benches[:2]
+	}
+	fails, st, err := CheckBenchmarks(benches, Options{Jobs: 8, Lattice: KernelLattice(machine.W4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fails {
+		if f != nil {
+			t.Errorf("%s:\n%s", benches[i].Name, f.Report())
+		}
+	}
+	if st.Programs != len(benches) || st.Mispredicts == 0 || st.CCEExecuted == 0 {
+		t.Errorf("kernels did not exercise recovery: %+v", st)
+	}
+}
+
+// TestCycleIdentityHasTeeth proves invariant 4's cycle accounting can
+// fail: one stall cycle charged beyond the issued and stalled cycles must
+// be named by the diff.
+func TestCycleIdentityHasTeeth(t *testing.T) {
+	prog, prof, err := Compile(progen.Render(progen.Generate(1, progen.Options{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := Cell{Name: "w4-dual", D: machine.W4}
+	cp, err := PrepareCell(prog, prof, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := cp.NewSim(cell)
+	sink := &countSink{}
+	sim.Sink = sink
+	if _, err := sim.Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	if d := sink.diff(sim, cell); d != "" {
+		t.Fatalf("clean run: %s", d)
+	}
+	sim.StallRedirect++
+	if d := sink.diff(sim, cell); !strings.HasPrefix(d, "Cycles vs Instrs+") {
+		t.Errorf("bumped StallRedirect: diff %q does not name the cycle identity", d)
 	}
 }

@@ -93,6 +93,49 @@ func (l *cacheLevel) fill(line, tick int64) int {
 	return victim
 }
 
+// LRUCache is a standalone hit/miss view of one cache level: the
+// hierarchy's tag and LRU replacement logic without latencies. The
+// baseline comparison replays block-fetch traces through it to measure
+// how compensation blocks pollute the instruction cache.
+type LRUCache struct {
+	l            cacheLevel
+	tick         int64
+	Hits, Misses int64
+}
+
+// NewLRUCache builds an empty cache with p's geometry (HitLat is unused).
+// The sizes must be powers of two, as MemConfig.Validate requires.
+func NewLRUCache(p *machine.CacheParams) *LRUCache {
+	return &LRUCache{l: newCacheLevel(p)}
+}
+
+// AccessRange touches every line covering the words [addr, addr+words) —
+// the shape of a block fetch — and returns how many of them missed.
+func (c *LRUCache) AccessRange(addr int64, words int) int {
+	misses := 0
+	last := (addr + int64(words) - 1) >> c.l.lineShift
+	for line := addr >> c.l.lineShift; line <= last; line++ {
+		c.tick++
+		if i := c.l.lookup(line); i >= 0 {
+			c.l.stamp[i] = c.tick
+			c.Hits++
+			continue
+		}
+		c.l.fill(line, c.tick)
+		c.Misses++
+		misses++
+	}
+	return misses
+}
+
+// MissRate is the fraction of line accesses that missed (0 before any).
+func (c *LRUCache) MissRate() float64 {
+	if total := c.Hits + c.Misses; total > 0 {
+		return float64(c.Misses) / float64(total)
+	}
+	return 0
+}
+
 // memSys is one simulator's hierarchy state. It is built once per
 // (simulator, config) binding and reset in place between runs, so the
 // steady state allocates nothing.

@@ -8,6 +8,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"vliwvp/internal/machine"
 )
@@ -135,4 +136,93 @@ func TestMemSysReset(t *testing.T) {
 	if pen, miss := m.iAccess(0, 0); pen != 60 || !miss {
 		t.Errorf("post-reset fetch pen=%d miss=%v, want cold-miss 60", pen, miss)
 	}
+}
+
+// TestLRUCache pins the standalone hit/miss view the baseline i-cache
+// study uses: word addresses map to lines, lines to sets, and a full set
+// evicts its least recently touched line.
+func TestLRUCache(t *testing.T) {
+	mk := func(lines, assoc int) *LRUCache {
+		return NewLRUCache(&machine.CacheParams{Lines: lines, Assoc: assoc, LineWords: 4})
+	}
+	t.Run("cold_miss_then_hit", func(t *testing.T) {
+		c := mk(256, 2)
+		if c.AccessRange(100, 1) != 1 || c.AccessRange(100, 1) != 0 || c.AccessRange(101, 1) != 0 {
+			t.Error("want a cold miss, then hits on the same word and line")
+		}
+		if c.Hits != 2 || c.Misses != 1 {
+			t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits, c.Misses)
+		}
+	})
+	t.Run("conflict_eviction", func(t *testing.T) {
+		c := mk(4, 1) // direct-mapped: words 0 and 64 share set 0
+		c.AccessRange(0, 1)
+		c.AccessRange(64, 1)
+		if c.AccessRange(0, 1) != 1 {
+			t.Error("word 0 survived a conflicting fill in a direct-mapped cache")
+		}
+	})
+	t.Run("associativity", func(t *testing.T) {
+		c := mk(8, 2)
+		c.AccessRange(0, 1)
+		c.AccessRange(64, 1)
+		if c.AccessRange(0, 1) != 0 {
+			t.Error("2-way cache evicted a coresident line")
+		}
+	})
+	t.Run("lru_replacement", func(t *testing.T) {
+		c := mk(8, 2) // 4 sets: words 0, 64, 128 share set 0
+		for _, a := range []int64{0, 64, 0, 128} {
+			c.AccessRange(a, 1)
+		}
+		if c.AccessRange(0, 1) != 0 {
+			t.Error("MRU line evicted")
+		}
+		if c.AccessRange(64, 1) != 1 {
+			t.Error("LRU line survived")
+		}
+	})
+	t.Run("access_range", func(t *testing.T) {
+		c := mk(256, 1)
+		for _, tc := range []struct{ addr, words, misses int }{
+			{0, 10, 3}, // words 0..9 = lines 0, 1, 2
+			{0, 10, 0},
+			{2, 4, 0}, // words 2..5 lie in lines 0 and 1
+		} {
+			if m := c.AccessRange(int64(tc.addr), tc.words); m != tc.misses {
+				t.Errorf("AccessRange(%d, %d) missed %d lines, want %d", tc.addr, tc.words, m, tc.misses)
+			}
+		}
+	})
+	t.Run("miss_rate", func(t *testing.T) {
+		c := mk(16, 1)
+		if c.MissRate() != 0 {
+			t.Error("empty cache miss rate must be 0")
+		}
+		c.AccessRange(0, 1)
+		c.AccessRange(0, 1)
+		if r := c.MissRate(); r != 0.5 {
+			t.Errorf("one miss, one hit: rate %v, want 0.5", r)
+		}
+	})
+	t.Run("small_footprint", func(t *testing.T) {
+		// 64 lines x 4 words hold any 128-word window: replaying an
+		// access sequence inside one must hit every time.
+		err := quick.Check(func(seed []byte) bool {
+			c := mk(64, 2)
+			for pass := 0; pass < 2; pass++ {
+				misses := c.Misses
+				for _, b := range seed {
+					c.AccessRange(int64(b)%128, 1)
+				}
+				if pass == 1 && c.Misses != misses {
+					return false
+				}
+			}
+			return true
+		}, &quick.Config{MaxCount: 50})
+		if err != nil {
+			t.Error(err)
+		}
+	})
 }

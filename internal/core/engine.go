@@ -24,8 +24,8 @@ import (
 // dense Image (see image.go) exactly once, and Run executes against flat
 // arrays — a ring-buffer event wheel instead of a cycle-keyed closure map,
 // pooled frames and block instances instead of per-call allocations, and a
-// dense predictor slice instead of a map. With no Sink or Debug attached,
-// the warmed steady state allocates nothing per cycle; the engine-diff
+// dense predictor slice instead of a map. With no Sink attached, the
+// warmed steady state allocates nothing per cycle; the engine-diff
 // suite pins it cycle-, event-, and state-identical to LegacySimulator.
 //
 // Pooling invariants (the Reset contract):
@@ -83,12 +83,10 @@ type Simulator struct {
 	// Sink, when set, receives a typed obs.Event per engine event:
 	// instruction issues, stalls, predictions, CCB captures, verification
 	// verdicts, compensation flushes/re-executions, and register
-	// write-backs. With neither Sink nor Debug attached, the issue/stall
-	// path performs no event work at all.
+	// write-backs. With no Sink attached, the issue/stall path performs
+	// no event work at all. obs.TextFunc adapts a line callback.
 	Sink obs.EventSink
-	// Debug is the legacy text hook (a line per engine event), rendered
-	// from the typed events by the obs narrator. Ignored when Sink is set.
-	Debug func(cycle int64, msg string)
+	ev   obs.Event // emit's buffer
 
 	// SerialRecovery switches the machine to the prior scheme the paper
 	// compares against ([4]): no Compensation Code Engine — on a
@@ -533,20 +531,16 @@ func (s *Simulator) loadAccess(flat int64, site int32, addr int64, train bool) i
 	return lat
 }
 
-// tracing reports whether any event consumer is attached; emitters guard
-// on it so the disabled path builds no events.
-func (s *Simulator) tracing() bool { return s.Sink != nil || s.Debug != nil }
+// tracing reports whether a sink is attached; emitters guard on it so the
+// disabled path builds no events.
+func (s *Simulator) tracing() bool { return s.Sink != nil }
 
-// emit delivers one event to the typed sink, or narrates it into the
-// legacy Debug hook.
+// emit delivers one event through the reused buffer s.ev. Sinks must not
+// retain an event past the call (obs.EventSink), so the caller's event
+// stays on its stack and tracing allocates no event.
 func (s *Simulator) emit(e *obs.Event) {
-	if s.Sink != nil {
-		s.Sink.Event(e)
-		return
-	}
-	if s.Debug != nil {
-		s.Debug(e.Cycle, obs.Narrate(e))
-	}
+	s.ev = *e
+	s.Sink.Event(&s.ev)
 }
 
 // Metrics returns the observability snapshot of the most recent Run (or

@@ -6,8 +6,7 @@ package core_test
 // (naming the function, block, and op) or return an image that passes
 // Validate: never a panic, never an out-of-range dense ID. A deterministic
 // sweep (TestDecodeImageMutations) runs a slice of the same corpus under
-// plain `go test`; CI gives the fuzzer a pinned budget next to the oracle
-// fuzz job.
+// plain `go test`; CI gives the fuzzer a pinned budget in the oracle job.
 
 import (
 	"errors"

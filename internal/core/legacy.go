@@ -18,12 +18,11 @@ import (
 
 // LegacySimulator is the original map-and-closure dual-engine stepper,
 // retained verbatim as the differential oracle for the decode-once
-// Simulator: the engine-diff suite (and the oracle/conform sweeps in
-// legacy mode) assert that both engines produce byte-identical cycle
-// counts, obs event streams, and architectural state. It allocates in the
-// hot loop (cycle-keyed closure map, per-block entryOf maps, per-issue
-// op sorting) and exists only as a semantic reference — new call sites
-// should use Simulator.
+// Simulator: the engine-diff suite asserts that both engines produce
+// byte-identical cycle counts, obs event streams, and architectural
+// state. It allocates in the hot loop (cycle-keyed closure map, per-block
+// entryOf maps, per-issue op sorting) and exists only as a semantic
+// reference — new call sites should use Simulator.
 type LegacySimulator struct {
 	Prog     *ir.Program
 	Sched    *sched.ProgSched
@@ -56,12 +55,10 @@ type LegacySimulator struct {
 	// Sink, when set, receives a typed obs.Event per engine event:
 	// instruction issues, stalls, predictions, CCB captures, verification
 	// verdicts, compensation flushes/re-executions, and register
-	// write-backs. With neither Sink nor Debug attached, the issue/stall
-	// path performs no event work at all.
+	// write-backs. With no Sink attached, the issue/stall path performs
+	// no event work at all. obs.TextFunc adapts a line callback.
 	Sink obs.EventSink
-	// Debug is the legacy text hook (a line per engine event), rendered
-	// from the typed events by the obs narrator. Ignored when Sink is set.
-	Debug func(cycle int64, msg string)
+	ev   obs.Event // emit's buffer
 
 	// SerialRecovery switches the machine to the prior scheme the paper
 	// compares against ([4]): no Compensation Code Engine — on a
@@ -304,20 +301,16 @@ func (s *LegacySimulator) reset() {
 	s.mem.Reset()
 }
 
-// tracing reports whether any event consumer is attached; emitters guard
-// on it so the disabled path builds no events.
-func (s *LegacySimulator) tracing() bool { return s.Sink != nil || s.Debug != nil }
+// tracing reports whether a sink is attached; emitters guard on it so the
+// disabled path builds no events.
+func (s *LegacySimulator) tracing() bool { return s.Sink != nil }
 
-// emit delivers one event to the typed sink, or narrates it into the
-// legacy Debug hook.
+// emit delivers one event through the reused buffer s.ev. Sinks must not
+// retain an event past the call (obs.EventSink), so the caller's event
+// stays on its stack and tracing allocates no event.
 func (s *LegacySimulator) emit(e *obs.Event) {
-	if s.Sink != nil {
-		s.Sink.Event(e)
-		return
-	}
-	if s.Debug != nil {
-		s.Debug(e.Cycle, obs.Narrate(e))
-	}
+	s.ev = *e
+	s.Sink.Event(&s.ev)
 }
 
 // Metrics returns the observability snapshot of the most recent Run (or

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"vliwvp/internal/core"
@@ -64,17 +63,16 @@ func TestTimingZeroAllocWithoutSink(t *testing.T) {
 	}
 }
 
-// TestTimingSinkMatchesLegacyTrace runs the same simulation through the
-// legacy Trace hook and through a typed TextFunc sink and requires
-// identical narration — the typed layer is a superset representation, not
-// a rewording.
+// TestTimingSinkMatchesLegacyTrace requires the text trace a TextFunc
+// sink receives to be exactly the narrated typed event stream, in order —
+// the typed layer is a superset representation, not a rewording.
 func TestTimingSinkMatchesLegacyTrace(t *testing.T) {
 	d := machine.W4
 	_, bs, an := paperSetup(t, d)
 	for _, mask := range []uint32{0, 1, 2, 3} {
 		tm := core.NewTiming(d)
-		var legacy []string
-		tm.Trace = func(cycle int, event string) { legacy = append(legacy, event) }
+		events := &collectSink{}
+		tm.Sink = events
 		if _, err := tm.SimulateBlock(bs, an, mask); err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +83,13 @@ func TestTimingSinkMatchesLegacyTrace(t *testing.T) {
 		if _, err := tm2.SimulateBlock(bs, an, mask); err != nil {
 			t.Fatal(err)
 		}
-		if strings.Join(legacy, "\n") != strings.Join(typed, "\n") {
-			t.Errorf("mask %#x: legacy trace and typed narration diverge:\n--- legacy\n%s\n--- typed\n%s",
-				mask, strings.Join(legacy, "\n"), strings.Join(typed, "\n"))
+		if len(typed) != len(events.events) {
+			t.Fatalf("mask %#x: TextFunc saw %d lines, sink %d events", mask, len(typed), len(events.events))
+		}
+		for i := range typed {
+			if want := obs.Narrate(&events.events[i]); typed[i] != want {
+				t.Errorf("mask %#x line %d: TextFunc %q != narrated %q", mask, i, typed[i], want)
+			}
 		}
 	}
 }
@@ -146,7 +148,7 @@ func TestTimingJSONLTrace(t *testing.T) {
 
 // TestSimulatorSinkEvents runs the dynamic dual-engine simulator with a
 // collecting sink over a mixed hit/miss kernel and checks the full event
-// taxonomy shows up, and that Debug (the legacy hook) sees the narrated
+// taxonomy shows up, and that a TextFunc sink sees the narrated
 // equivalents.
 func TestSimulatorSinkEvents(t *testing.T) {
 	sim, _ := buildSim(t, resetKernel, true, machine.W4)
@@ -181,19 +183,19 @@ func TestSimulatorSinkEvents(t *testing.T) {
 		t.Errorf("cce.flush events %d != CCEFlushed %d", got, sim.CCEFlushed)
 	}
 
-	// The same run through the Debug hook narrates the same events.
+	// The same run through a TextFunc sink narrates the same events.
 	sim2, _ := buildSim(t, resetKernel, true, machine.W4)
 	var lines []string
-	sim2.Debug = func(cycle int64, msg string) { lines = append(lines, msg) }
+	sim2.Sink = obs.TextFunc(func(_ int64, line string) { lines = append(lines, line) })
 	if _, err := sim2.Run("main"); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(lines) != len(sink.events) {
-		t.Fatalf("Debug narrated %d lines, sink saw %d events", len(lines), len(sink.events))
+		t.Fatalf("TextFunc narrated %d lines, sink saw %d events", len(lines), len(sink.events))
 	}
 	for i := range lines {
 		if want := obs.Narrate(&sink.events[i]); lines[i] != want {
-			t.Fatalf("line %d: Debug %q != narrated %q", i, lines[i], want)
+			t.Fatalf("line %d: TextFunc %q != narrated %q", i, lines[i], want)
 		}
 	}
 }

@@ -86,18 +86,18 @@ func main() {
 }
 
 // TestPropertyFullPipelinePreservesSemantics is the repository's strongest
-// invariant: for random programs, the complete pipeline — optionally
-// if-conversion and superblock formation, then profile, speculate,
-// schedule, and execute on the dual-engine machine with live predictors —
-// must produce the same result, output, and memory image as the sequential
-// interpreter, on every machine width.
+// invariant: for random programs, the complete pipeline — optionally the
+// optimizer, if-conversion and superblock formation, then profile,
+// speculate, schedule, and execute on the dual-engine machine with live
+// predictors — must produce the same result, output, and memory image as
+// the sequential interpreter, on every machine width.
 func TestPropertyFullPipelinePreservesSemantics(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomPipelineProgram(rng)
 		d := machine.Stock()[rng.Intn(len(machine.Stock()))]
 
-		sim, orig := buildSimWithPasses(t, src, d, rng.Intn(2) == 0, rng.Intn(2) == 0)
+		sim, orig := buildSimWithPasses(t, src, d, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0)
 		gotV, err := sim.Run("main")
 		if err != nil {
 			t.Logf("seed %d (%s): simulate: %v", seed, d.Name, err)
@@ -207,15 +207,19 @@ func main() {
 	}
 }
 
-// buildSimWithPasses is buildSim plus optional if-conversion and region
-// formation applied to BOTH the golden program and the simulated one.
-func buildSimWithPasses(t *testing.T, src string, d *machine.Desc, useIfconv, useRegions bool) (*core.Simulator, *ir.Program) {
+// buildSimWithPasses is buildSim with the optimizer, if-conversion and
+// region formation each optional, applied to BOTH the golden program and
+// the simulated one. Skipping the optimizer keeps unoptimized programs
+// covered end to end.
+func buildSimWithPasses(t *testing.T, src string, d *machine.Desc, useIfconv, useRegions, useOpt bool) (*core.Simulator, *ir.Program) {
 	t.Helper()
 	prog, err := lang.Compile(src)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	opt.Optimize(prog)
+	if useOpt {
+		opt.Optimize(prog)
+	}
 	if useIfconv {
 		ifconv.Convert(prog, ifconv.DefaultConfig())
 	}

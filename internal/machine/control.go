@@ -2,7 +2,7 @@ package machine
 
 // ControlConfig is the single typed control-speculation model: it replaces
 // the per-package BranchPenalty scalars that used to be duplicated across
-// baseline, both core engines, conform, oracle, and serve. The zero value
+// baseline, both core engines, conform, and serve. The zero value
 // reproduces the pre-refactor machine exactly — a free taken branch
 // (BranchPenalty 0) and no modeled direction predictor — so existing
 // configurations and goldens are unchanged by construction.

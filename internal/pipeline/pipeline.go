@@ -6,10 +6,10 @@
 // declarative Plans.
 //
 // The façade (vliwvp.System), the experiment harness (internal/exp and its
-// ablation variants), the metamorphic conformance suite (internal/conform)
-// and the differential oracle (internal/oracle) all describe their compile
-// flows as Plans and execute them through a Manager, which provides
-// uniformly what each of those callers used to hand-roll:
+// ablation variants) and the metamorphic conformance suite
+// (internal/conform) all describe their compile flows as Plans and execute
+// them through a Manager, which provides uniformly what each of those
+// callers used to hand-roll:
 //
 //   - per-pass ir.Validate: structure-changing passes are always checked
 //     (matching the historical validation points); Manager.ValidateEach

@@ -1,6 +1,6 @@
 // Package pool provides the bounded worker pool shared by the parallel
-// experiment runner (internal/exp) and the differential-testing oracle
-// (internal/oracle). Work items are indices into a caller-owned slice, so
+// experiment runner (internal/exp) and the conformance harness
+// (internal/conform). Work items are indices into a caller-owned slice, so
 // results land in deterministic positions regardless of completion order
 // and aggregation can replay them in input order.
 package pool
