@@ -536,7 +536,7 @@ func runBench(d *machine.Desc, path string, count int) error {
 // the metamorphic invariants across the configuration lattice and exits
 // nonzero on any violation, printing each minimized counterexample.
 func runConform(seed int64, n, jobs int) {
-	fails, stats, err := conform.Run(seed, n, conform.Options{Jobs: jobs})
+	fails, stats, err := conform.Run(seed, n, conform.Options{Jobs: jobs, Origin: "vpexp -conform"})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vpexp: conform: %v\n", err)
 		os.Exit(1)
@@ -559,7 +559,7 @@ func runConform(seed int64, n, jobs int) {
 func runOracle(d *machine.Desc, jobs int) {
 	benches := workload.All()
 	lattice := conform.KernelLattice(d)
-	fails, _, err := conform.CheckBenchmarks(benches, conform.Options{Jobs: jobs, Lattice: lattice})
+	fails, _, err := conform.CheckBenchmarks(benches, conform.Options{Jobs: jobs, Lattice: lattice, Origin: "vpexp -oracle -mach " + d.Name})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vpexp: oracle: %v\n", err)
 		os.Exit(1)

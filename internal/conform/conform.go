@@ -233,6 +233,10 @@ type Options struct {
 	// deliberate bug (e.g. core.Simulator.FaultCCEWritebackXor) and prove
 	// the suite catches it with a minimized reproduction.
 	Tamper func(*core.Simulator)
+	// Origin names the test or command running the check. Failure
+	// reports print it: outside DefaultLattice, rerunning it is the
+	// reproduction.
+	Origin string
 }
 
 func (o Options) withDefaults() Options {
@@ -259,9 +263,48 @@ type Failure struct {
 	// fails. Schemes is nil when there is no such repro.
 	Schemes map[int]profile.Scheme
 	CCB     int
+	// Config is the failing cell's configuration (see Cell.key), and
+	// Origin the test or command that found it (Options.Origin).
+	Config string
+	Origin string
 }
 
-// Report renders the failure with everything needed to reproduce it.
+// key renders the cell's whole configuration: machine, CCB capacity,
+// threshold, recovery model, and the mem, pred, branch and control keys.
+func (c Cell) key() string {
+	return fmt.Sprintf("mach=%s ccb=%d thresh=%g serial=%t mem=%s pred=%s branch=%s control=%s",
+		c.D.Name, c.CCBCapacity, c.Threshold, c.SerialRecovery,
+		c.Mem.Key(), c.Pred.Key(), c.Ctrl.Branch.Key(), c.Ctrl.Key())
+}
+
+// sweepCell is the machine checkMonotone sweeps CCB capacities on; every
+// check runs the sweep, whatever its lattice.
+func sweepCell() Cell { return Cell{Name: "ccb-sweep", D: machine.W4} }
+
+// at records where a failure was found: the failing cell and the run's
+// origin.
+func (f *Failure) at(cell Cell, opt Options) {
+	f.Cell, f.Config, f.Origin = cell.Name, cell.key(), opt.Origin
+}
+
+// onDefaultLattice reports whether `vpexp -conform`, which checks
+// DefaultLattice and the CCB sweep, runs the failing cell.
+func (f *Failure) onDefaultLattice() bool {
+	if f.Cell == sweepCell().Name && f.Config == sweepCell().key() {
+		return true
+	}
+	for _, c := range DefaultLattice() {
+		if f.Cell == c.Name && f.Config == c.key() {
+			return true
+		}
+	}
+	return false
+}
+
+// Report renders the failure with everything needed to reproduce it. The
+// seed command is printed only for a failure on DefaultLattice, the one
+// lattice `vpexp -conform` replays; any other failure names its cell's
+// configuration and the test or command that found it.
 func (f *Failure) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "conformance: invariant %q violated (cell %s, program %s)\n", f.Invariant, f.Cell, f.Program)
@@ -269,8 +312,13 @@ func (f *Failure) Report() string {
 	if f.Schemes != nil {
 		fmt.Fprintf(&b, "  minimal repro: ccb=%d schemes=%v (unlisted sites use the stride predictor)\n", f.CCB, f.Schemes)
 	}
-	if f.Seed != 0 {
+	if f.Seed != 0 && f.onDefaultLattice() {
 		fmt.Fprintf(&b, "  reproduce: vpexp -conform -progen-seed %d -progen-count 1\n", f.Seed)
+	} else {
+		fmt.Fprintf(&b, "  failing cell: %s\n", f.Config)
+		if f.Origin != "" {
+			fmt.Fprintf(&b, "  found by: %s\n", f.Origin)
+		}
 	}
 	b.WriteString("  program:\n")
 	for _, line := range strings.Split(strings.TrimRight(f.Source, "\n"), "\n") {
@@ -477,9 +525,10 @@ func check(name, src string, opt Options) (*Failure, Stats, error) {
 // cell, then the CCB monotonicity sweep).
 func (s *subject) check(opt Options) (*Failure, Stats, error) {
 	stats := Stats{Programs: 1}
-	found := func(f *Failure) (*Failure, Stats, error) {
+	found := func(f *Failure, cell Cell) (*Failure, Stats, error) {
 		if f != nil {
 			f.Program, f.Source = s.name, s.src
+			f.at(cell, opt)
 		}
 		return f, stats, nil
 	}
@@ -490,14 +539,14 @@ func (s *subject) check(opt Options) (*Failure, Stats, error) {
 			return nil, stats, fmt.Errorf("conform: %s cell %s: %w", s.name, cell.Name, err)
 		}
 		if fail != nil {
-			return found(fail)
+			return found(fail, cell)
 		}
 	}
 	fail, err := checkMonotone(s.prog, s.prof, s.ref, opt, &stats)
 	if err != nil {
 		return nil, stats, fmt.Errorf("conform: %s: %w", s.name, err)
 	}
-	return found(fail)
+	return found(fail, sweepCell())
 }
 
 // shrinkArch minimizes an "arch" failure's machine configuration:
@@ -890,7 +939,7 @@ func baselineCycles(prog *ir.Program, cell Cell, opt Options) (int64, error) {
 // which retrains the predictors and changes the misprediction pattern
 // itself — but completed runs must still be architecturally exact.
 func checkMonotone(prog *ir.Program, prof *profile.Profile, ref *refResult, opt Options, stats *Stats) (*Failure, error) {
-	cell := Cell{Name: "ccb-sweep", D: machine.W4}
+	cell := sweepCell()
 	res, schemes, err := transform(prog, prof, cell)
 	if err != nil {
 		return specFailure(err, cell)

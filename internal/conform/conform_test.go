@@ -25,7 +25,7 @@ func TestConformance(t *testing.T) {
 	if testing.Short() && n > 8 {
 		n = 8
 	}
-	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0)})
+	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Origin: t.Name()})
 	if err != nil {
 		t.Fatalf("harness error: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestMemConformance(t *testing.T) {
 	if testing.Short() && n > 6 {
 		n = 6
 	}
-	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Lattice: MemLattice()})
+	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Lattice: MemLattice(), Origin: t.Name()})
 	if err != nil {
 		t.Fatalf("harness error: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestPredConformance(t *testing.T) {
 	if testing.Short() && n > 6 {
 		n = 6
 	}
-	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Lattice: PredLattice()})
+	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Lattice: PredLattice(), Origin: t.Name()})
 	if err != nil {
 		t.Fatalf("harness error: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestBranchConformance(t *testing.T) {
 	if testing.Short() && n > 6 {
 		n = 6
 	}
-	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Lattice: BranchLattice()})
+	fails, stats, err := Run(1, n, Options{Jobs: runtime.GOMAXPROCS(0), Lattice: BranchLattice(), Origin: t.Name()})
 	if err != nil {
 		t.Fatalf("harness error: %v", err)
 	}
@@ -216,6 +216,7 @@ func TestConformanceCatchesInjectedMisgateBug(t *testing.T) {
 	opt := Options{
 		Lattice: PredLattice(),
 		Tamper:  func(s *core.Simulator) { s.FaultConfidenceMisgate = true },
+		Origin:  t.Name(),
 	}
 	var caught *Failure
 	for seed := int64(1); seed <= 40 && caught == nil; seed++ {
@@ -237,7 +238,64 @@ func TestConformanceCatchesInjectedMisgateBug(t *testing.T) {
 	if caught.Source == "" || caught.Seed == 0 {
 		t.Errorf("failure not reproducible: %+v", caught)
 	}
+	// vpexp -conform replays DefaultLattice only: the report must name the
+	// gated cell's predictor config and this test instead.
+	rep := caught.Report()
+	if strings.Contains(rep, "-progen-seed") || !strings.Contains(rep, "conf=1") || !strings.Contains(rep, t.Name()) {
+		t.Errorf("report of a PredLattice failure lacks its cell config or origin, or offers the DefaultLattice command:\n%s", rep)
+	}
 	t.Logf("caught with seed %d on cell %s", caught.Seed, caught.Cell)
+}
+
+// TestReportReproCommand pins which repro a failure report prints: the
+// `vpexp -conform` seed command only for a cell that command runs (a
+// DefaultLattice cell or the CCB sweep); for a MemLattice, PredLattice,
+// BranchLattice or random cell, the cell's configuration keys and the
+// test that found it.
+func TestReportReproCommand(t *testing.T) {
+	pick := func(cells []Cell, name string) Cell {
+		for _, c := range cells {
+			if c.Name == name {
+				return c
+			}
+		}
+		t.Fatalf("no cell %q", name)
+		return Cell{}
+	}
+	cases := []struct {
+		name    string
+		cell    Cell
+		command bool
+		want    []string // substrings of the failing-cell line
+	}{
+		{"default", pick(DefaultLattice(), "w4-ccb4"), true, nil},
+		{"default-serial", pick(DefaultLattice(), "w4-serial"), true, nil},
+		{"ccb-sweep", sweepCell(), true, nil},
+		{"mem", pick(MemLattice(), "w4-mem-l2-pf"), false, []string{"mem=mem[", "pred=profiled", "branch=none", "control=bp=0"}},
+		{"pred", pick(PredLattice(), "w4-pred-vtage-gated"), false, []string{"mem=flat", "pred=vtage:", "branch=none"}},
+		{"branch", pick(BranchLattice(), "w4-branch-tage-small"), false, []string{"branch=tage:bits=4,hist=8,tables=2", "control=bp=0,branch=tage:bits=4,hist=8,tables=2,flush=6,redir=2"}},
+		{"random", randomCell(5), false, []string{"mach=", "ccb=", "thresh="}},
+		// A DefaultLattice name on another configuration is not replayed.
+		{"renamed", Cell{Name: "w4-dual", D: machine.W4, Mem: machine.MemL1}, false, []string{"mem=mem["}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &Failure{Invariant: "arch", Seed: 17, Program: "seed 17", Detail: "x", Source: "func main() {}"}
+			f.at(tc.cell, Options{Origin: "TestSomeLattice"})
+			rep := f.Report()
+			if got := strings.Contains(rep, "vpexp -conform -progen-seed 17 -progen-count 1"); got != tc.command {
+				t.Fatalf("seed command printed = %v, want %v:\n%s", got, tc.command, rep)
+			}
+			if tc.command {
+				return
+			}
+			for _, w := range append(tc.want, "failing cell: "+tc.cell.key(), "found by: TestSomeLattice") {
+				if !strings.Contains(rep, w) {
+					t.Errorf("report lacks %q:\n%s", w, rep)
+				}
+			}
+		})
+	}
 }
 
 // TestConformanceCatchesInjectedCCEBug proves the suite's teeth: with a
@@ -317,7 +375,7 @@ func randomCell(seed int64) Cell {
 func checkRandomCell(t *testing.T, seed int64) {
 	t.Helper()
 	cell := randomCell(seed)
-	f, _, err := CheckSeed(seed, Options{Lattice: []Cell{cell}})
+	f, _, err := CheckSeed(seed, Options{Lattice: []Cell{cell}, Origin: t.Name()})
 	if err != nil {
 		t.Fatalf("seed %d (%+v): harness error: %v", seed, cell, err)
 	}
@@ -452,7 +510,7 @@ func TestCheckBenchmarks(t *testing.T) {
 	if testing.Short() {
 		benches = benches[:2]
 	}
-	fails, st, err := CheckBenchmarks(benches, Options{Jobs: 8, Lattice: KernelLattice(machine.W4)})
+	fails, st, err := CheckBenchmarks(benches, Options{Jobs: 8, Lattice: KernelLattice(machine.W4), Origin: t.Name()})
 	if err != nil {
 		t.Fatal(err)
 	}

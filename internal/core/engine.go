@@ -1119,7 +1119,7 @@ func (s *Simulator) issueDataOp(fr *frame, blk *imgBlock, o *imgOp) error {
 		if op.Code == ir.Load && s.msys != nil {
 			lat = s.loadAccess(o.lat, o.ldSite, int64(fr.regs[op.A])+op.Imm, true)
 		}
-		v, err := s.execValue(fr.fn.f, op, fr.regs)
+		v, err := s.execValue(fr.fn.f, o, fr.regs)
 		if err != nil {
 			return fmt.Errorf("core: %s b%d %s: %w", fr.fn.f.Name, fr.blockID, op, err)
 		}
@@ -1143,7 +1143,7 @@ func (s *Simulator) issueSpecOp(fr *frame, blk *imgBlock, o *imgOp) error {
 		if op.Code == ir.Load && s.msys != nil {
 			lat = s.loadAccess(o.lat, o.ldSite, int64(fr.regs[op.A])+op.Imm, true)
 		}
-		v, err := s.execValue(fr.fn.f, op, fr.regs)
+		v, err := s.execValue(fr.fn.f, o, fr.regs)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", op, err)
 		}
@@ -1182,7 +1182,7 @@ func (s *Simulator) issueSpecOp(fr *frame, blk *imgBlock, o *imgOp) error {
 	if op.Code == ir.Load && s.msys != nil {
 		lat = s.loadAccess(o.lat, o.ldSite, int64(fr.regs[op.A])+op.Imm, true)
 	}
-	v, err := s.execValue(fr.fn.f, op, fr.regs)
+	v, err := s.execValue(fr.fn.f, o, fr.regs)
 	if err != nil {
 		e.issueErr = err
 		v = 0
@@ -1471,7 +1471,7 @@ func (s *Simulator) drainResolvedSerial() {
 				ref := &e.operands[i]
 				s.scratch[ref.reg] = correctedValue(r.inst, ref)
 			}
-			v, err := s.execValue(e.fr.fn.f, e.op, s.scratch)
+			v, err := s.execValue(e.fr.fn.f, &r.inst.blk.ops[e.opIdx], s.scratch)
 			if err != nil {
 				s.simErr = fmt.Errorf("core: serial recovery of %s: %w", e.op, err)
 				return
@@ -1589,7 +1589,7 @@ func (s *Simulator) stepCCE() {
 	if e.op.Code == ir.Load && s.msys != nil {
 		lat = s.loadAccess(lat, -1, int64(s.scratch[e.op.A])+e.op.Imm, false)
 	}
-	v, err := s.execValue(e.fr.fn.f, e.op, s.scratch)
+	v, err := s.execValue(e.fr.fn.f, &r.inst.blk.ops[e.opIdx], s.scratch)
 	if err != nil {
 		// Correct operands and still faulting: a real fault.
 		s.simErr = fmt.Errorf("core: compensation re-execution of %s: %w", e.op, err)
@@ -1685,7 +1685,12 @@ func correctedValue(inst *blockInst, r *operandRef) uint64 {
 
 // execValue runs one operation's semantics against the given register file
 // and returns the destination value (0 for ops without one).
-func (s *Simulator) execValue(f *ir.Func, op *ir.Op, regs []uint64) (uint64, error) {
+func (s *Simulator) execValue(f *ir.Func, o *imgOp, regs []uint64) (uint64, error) {
+	op := o.op
+	if o.leaOK {
+		regs[op.Dest] = o.leaAddr
+		return o.leaAddr, nil
+	}
 	if err := s.mem.ExecOp(f, op, regs); err != nil {
 		return 0, err
 	}

@@ -64,6 +64,13 @@ type imgOp struct {
 	prodSite  []int32
 
 	isControl bool // terminator or call: issued after the data ops
+
+	// leaAddr is a Lea's result, resolved from its global at decode so the
+	// engine does no by-name lookup per issue; leaOK is false for every
+	// other op and for a Lea of an unknown global (left to interp.ExecOp,
+	// which reports the error when the op executes).
+	leaAddr uint64
+	leaOK   bool
 }
 
 // imgInstr is one decoded long instruction.
@@ -265,6 +272,11 @@ func decodeBlock(img *Image, fn *imgFunc, f *ir.Func, b *ir.Block, bs *sched.Blo
 		}
 		if op.SyncBit != ir.NoBit {
 			o.bitMask = 1 << uint(op.SyncBit)
+		}
+		if op.Code == ir.Lea {
+			if g := img.Prog.Global(op.Sym); g != nil {
+				o.leaAddr, o.leaOK = uint64(int64(g.Addr)+op.Imm), true
+			}
 		}
 		switch op.Code {
 		case ir.LdPred, ir.CheckLd:

@@ -58,6 +58,11 @@ type Timing struct {
 	// valueReady is indexed by block op index: the cycle a recomputed
 	// producer's corrected value becomes available, -1 when not recomputed.
 	valueReady []int
+	// ev and operands are the reused event buffer emit copies each event
+	// into, as both dynamic engines do: the obs.EventSink contract forbids
+	// retaining e or e.Operands, so a traced run allocates no event.
+	ev       obs.Event
+	operands []obs.SiteState
 }
 
 // clearWheelSlots sizes the timing model's bit-clear ring. Power of two,
@@ -231,13 +236,13 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 			case in.WaitBits&syncBusy != 0:
 				res.StallCycles++
 				if sink != nil {
-					sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
+					t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
 						Kind: obs.KindStallSync, Bit: -1, Wait: in.WaitBits, Busy: syncBusy})
 				}
 			case specNeeded > 0 && live+specNeeded > capacity:
 				res.StallCycles++
 				if sink != nil {
-					sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
+					t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
 						Kind: obs.KindStallCCB, Bit: -1})
 				}
 			default:
@@ -247,7 +252,7 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 					case op.Code == ir.LdPred:
 						syncBusy |= 1 << uint(op.SyncBit)
 						if sink != nil {
-							sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
+							t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
 								Kind: obs.KindLdPredIssue, Op: op, Bit: op.SyncBit})
 						}
 					case op.Code == ir.CheckLd:
@@ -257,14 +262,14 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 						scheduleClear(cycle, done, 1<<uint(an.Sites[li].Bit))
 						if sink != nil {
 							correct := outcome&(1<<uint(li)) != 0
-							sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
+							t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
 								Kind: obs.KindCheckIssue, Op: op, Bit: -1,
 								Done: int64(done), Correct: correct, Site: li})
 						}
 					case op.Speculative:
 						if resolvedCorrect(an.Info[idx].PredSet, cycle) {
 							if sink != nil {
-								sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
+								t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
 									Kind: obs.KindPlainIssue, Op: op, Bit: -1})
 							}
 							break // verified before issue: plain operation
@@ -279,9 +284,9 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 						})
 						live++
 						if sink != nil {
-							sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
+							t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineVLIW,
 								Kind: obs.KindBufferCCB, Op: op, Bit: op.SyncBit,
-								Operands: operandSiteStates(an, idx, resolveAt, outcome, cycle)})
+								Operands: t.operandSiteStates(an, idx, resolveAt, outcome, cycle)})
 						}
 					}
 				}
@@ -301,7 +306,7 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 						e.bitLive = false
 					}
 					if sink != nil {
-						sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineCCE,
+						t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineCCE,
 							Kind: obs.KindCCEFlush, Op: an.Block.Ops[e.opIdx], Bit: -1})
 					}
 					res.CCEFlushed++
@@ -318,7 +323,7 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 					scheduleClear(cycle, e.doneAt, 1<<uint(e.bit))
 					e.bitLive = false
 					if sink != nil {
-						sink.Event(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineCCE,
+						t.emit(&obs.Event{Cycle: int64(cycle), Engine: obs.EngineCCE,
 							Kind: obs.KindCCEExecute, Op: op, Bit: e.bit, Done: int64(e.doneAt)})
 					}
 					res.CCEExecuted++
@@ -342,12 +347,12 @@ func (t *Timing) SimulateBlock(bs *sched.BlockSched, an *BlockAnalysis, outcome 
 // operandSiteStates renders a speculative op's operand states in the
 // paper's Table 1/2 notation (see obs.OperandState): only built when a
 // sink is attached.
-func operandSiteStates(an *BlockAnalysis, idx int, resolveAt []int, outcome uint32, cycle int) []obs.SiteState {
+func (t *Timing) operandSiteStates(an *BlockAnalysis, idx int, resolveAt []int, outcome uint32, cycle int) []obs.SiteState {
 	set := an.Info[idx].PredSet
 	if set == 0 {
 		return nil
 	}
-	var out []obs.SiteState
+	out := t.operands[:0]
 	for li := range an.Sites {
 		if set&(1<<uint(li)) == 0 {
 			continue
@@ -362,5 +367,12 @@ func operandSiteStates(an *BlockAnalysis, idx int, resolveAt []int, outcome uint
 		}
 		out = append(out, obs.SiteState{Site: li, State: state})
 	}
+	t.operands = out
 	return out
+}
+
+// emit hands the sink a copy of e in the reused event buffer.
+func (t *Timing) emit(e *obs.Event) {
+	t.ev = *e
+	t.Sink.Event(&t.ev)
 }

@@ -314,7 +314,8 @@ const (
 // each Predict is followed by the matching Update before the next
 // Predict. Update recomputes the provider rather than caching it (same
 // rationale as VTAGESite.Update), so the pairing is a timing contract,
-// not a correctness precondition.
+// not a correctness precondition; only the table keys, a pure function of
+// (pc, global history), are memoized, so a paired Update rehashes nothing.
 //
 // Reset clears all table state and the global history in place; steady-
 // state reuse allocates nothing.
@@ -328,6 +329,13 @@ type BranchPredictor struct {
 	comps    [][]btageEntry
 	compMask uint64
 	histLens []int
+
+	// keys memoizes componentKeys for (keyPC, keyGHR); one slot per
+	// tagged component, sized at construction.
+	keys   []tableKey
+	keyPC  uint64
+	keyGHR uint64
+	keysOK bool
 }
 
 // NewBranchPredictor builds a cold predictor for a validated config.
@@ -346,6 +354,7 @@ func NewBranchPredictor(c *BranchConfig) *BranchPredictor {
 		n := c.Tables()
 		p.comps = make([][]btageEntry, n)
 		p.histLens = make([]int, n)
+		p.keys = make([]tableKey, n)
 		p.compMask = (1 << c.TagBits()) - 1
 		for i := range p.comps {
 			p.comps[i] = make([]btageEntry, 1<<c.TagBits())
@@ -374,29 +383,33 @@ func (p *BranchPredictor) Reset() {
 	}
 }
 
-// hash folds the PC and histLen bits of global history FNV-1a style and
-// splits the result into a component index and tag.
-func (p *BranchPredictor) hash(pc uint64, histLen int) (idx uint64, tag uint16) {
-	var h uint64 = 14695981039346656037
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
+// componentKeys returns every tagged component's (index, tag) for the
+// branch at pc under the current global history: an FNV-1a fold of the PC
+// and the component's histLen bits of history. The keys are memoized per
+// (pc, ghr) — they depend on nothing else — so the Update paired with a
+// Predict reuses them, and an unpaired Update (a different pc or a moved
+// history) recomputes them.
+func (p *BranchPredictor) componentKeys(pc uint64) []tableKey {
+	if p.keysOK && p.keyPC == pc && p.keyGHR == p.ghr {
+		return p.keys
 	}
-	mix(pc)
-	mix(p.ghr & (uint64(1)<<uint(histLen) - 1))
-	return h & p.compMask, uint16(h>>32) & btageTagMask
+	hpc := fnvMix(fnvOffset, pc)
+	for ci, l := range p.histLens {
+		h := fnvMix(hpc, p.ghr&(uint64(1)<<uint(l)-1))
+		p.keys[ci] = tableKey{idx: h & p.compMask, tag: uint16(h>>32) & btageTagMask}
+	}
+	p.keyPC, p.keyGHR, p.keysOK = pc, p.ghr, true
+	return p.keys
 }
 
 // provider returns the longest-history tagged component with a tag match,
 // or -1 when the bimodal base provides.
-func (p *BranchPredictor) provider(pc uint64) (comp int, idx uint64) {
+func (p *BranchPredictor) provider(keys []tableKey) (comp int, idx uint64) {
 	for ci := len(p.comps) - 1; ci >= 0; ci-- {
-		i, tag := p.hash(pc, p.histLens[ci])
-		e := &p.comps[ci][i]
-		if e.conf > 0 && e.tag == tag {
-			return ci, i
+		k := keys[ci]
+		e := &p.comps[ci][k.idx]
+		if e.conf > 0 && e.tag == k.tag {
+			return ci, k.idx
 		}
 	}
 	return -1, 0
@@ -410,7 +423,7 @@ func (p *BranchPredictor) Predict(pc uint64) bool {
 	case "nottaken":
 		return false
 	}
-	if ci, idx := p.provider(pc); ci >= 0 {
+	if ci, idx := p.provider(p.componentKeys(pc)); ci >= 0 {
 		return p.comps[ci][idx].dir
 	}
 	return p.base[pc&p.baseMask].dir
@@ -426,7 +439,8 @@ func (p *BranchPredictor) Update(pc uint64, taken bool) {
 		p.base[pc&p.baseMask].train(taken)
 		return
 	}
-	ci, idx := p.provider(pc)
+	keys := p.componentKeys(pc)
+	ci, idx := p.provider(keys)
 	predicted := p.base[pc&p.baseMask].dir
 	if ci >= 0 {
 		e := &p.comps[ci][idx]
@@ -454,10 +468,10 @@ func (p *BranchPredictor) Update(pc uint64, taken bool) {
 		// Allocate into a longer-history component; decayed-useful entries
 		// are the victims, live ones age toward eviction.
 		for ai := ci + 1; ai < len(p.comps); ai++ {
-			i, tag := p.hash(pc, p.histLens[ai])
-			e := &p.comps[ai][i]
+			k := keys[ai]
+			e := &p.comps[ai][k.idx]
 			if e.conf == 0 || e.u == 0 {
-				*e = btageEntry{tag: tag, dir: taken, conf: 1}
+				*e = btageEntry{tag: k.tag, dir: taken, conf: 1}
 				break
 			}
 			e.u--

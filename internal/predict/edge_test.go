@@ -274,14 +274,14 @@ func TestVTAGETagAliasingBetweenSites(t *testing.T) {
 		a.Update(42)
 		a.Update(99)
 	}
-	wantIdx, wantTag := a.hash(1) // context [99], entry holds 42
+	wantIdx, wantTag := refVTAGEHash(a, 1) // context [99], entry holds 42
 	if e := &tab.comps[0][wantIdx]; e.ctr == 0 || e.tag != wantTag || e.value != 42 {
 		t.Fatalf("site 0 order-1 entry not trained: %+v", e)
 	}
 	for id := 1; id < 1<<20; id++ {
 		b := tab.Site(id)
 		b.Update(7) // one observation: base state only, no allocation yet
-		if idx, tag := b.hash(1); idx == wantIdx && tag == wantTag {
+		if idx, tag := refVTAGEHash(b, 1); idx == wantIdx && tag == wantTag {
 			v, ok := b.Predict()
 			if !ok || v != 42 {
 				t.Fatalf("aliased site %d predicted (%d, %v), want site 0's (42, true)", id, v, ok)
@@ -303,7 +303,7 @@ func TestVTAGESiteResetKeepsSharedTable(t *testing.T) {
 		a.Update(33) // alternate so the shared table actually trains
 		b.Update(22)
 	}
-	aIdx, aTag := a.hash(1)
+	aIdx, aTag := refVTAGEHash(a, 1)
 	before := tab.comps[0][aIdx]
 	if before.ctr == 0 || before.tag != aTag {
 		t.Fatalf("site 1 order-1 entry not trained: %+v", before)

@@ -26,23 +26,27 @@ func NewLastN(depth int) *LastN {
 	return &LastN{depth: depth, ring: make([]uint64, depth)}
 }
 
-// at returns the i-th most recent value, i in [0, p.n).
-func (p *LastN) at(i int) uint64 {
-	return p.ring[((p.head-1-i)%p.depth+p.depth)%p.depth]
-}
-
 // Predict implements Predictor: the modal value of the ring, ties broken
 // toward recency. Quadratic in depth, which is small by construction.
+// Candidates are visited newest first; the stored values always occupy
+// ring[:n] (the ring fills from slot 0), so counting scans that prefix.
 func (p *LastN) Predict() (uint64, bool) {
 	if p.n == 0 {
 		return 0, false
 	}
-	best, bestCount := p.at(0), 0
-	for i := 0; i < p.n; i++ {
-		v := p.at(i)
+	stored := p.ring[:p.n]
+	var best uint64
+	bestCount := 0
+	i := p.head
+	for range stored {
+		if i == 0 {
+			i = len(p.ring)
+		}
+		i--
+		v := p.ring[i]
 		count := 0
-		for j := 0; j < p.n; j++ {
-			if p.at(j) == v {
+		for _, w := range stored {
+			if w == v {
 				count++
 			}
 		}
@@ -57,7 +61,9 @@ func (p *LastN) Predict() (uint64, bool) {
 // Update implements Predictor.
 func (p *LastN) Update(actual uint64) {
 	p.ring[p.head] = actual
-	p.head = (p.head + 1) % p.depth
+	if p.head++; p.head == p.depth {
+		p.head = 0
+	}
 	if p.n < p.depth {
 		p.n++
 	}

@@ -94,9 +94,12 @@ type FCM struct {
 	order   int
 	mask    uint64
 	history []uint64
-	filled  int
 	table   []fcmEntry
 	name    string
+	// key memoizes hash() for the current history; keyOK is cleared
+	// whenever the history moves (Update, Reset).
+	key   uint64
+	keyOK bool
 }
 
 type fcmEntry struct {
@@ -127,16 +130,42 @@ func NewFCM(order, tableBits int) *FCM {
 	}
 }
 
+// FNV-1a parameters shared by every hashed predictor table.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMix folds the 8 bytes of v, low byte first, into the FNV-1a state h.
+func fnvMix(h, v uint64) uint64 {
+	h = (h ^ v&0xff) * fnvPrime
+	h = (h ^ v>>8&0xff) * fnvPrime
+	h = (h ^ v>>16&0xff) * fnvPrime
+	h = (h ^ v>>24&0xff) * fnvPrime
+	h = (h ^ v>>32&0xff) * fnvPrime
+	h = (h ^ v>>40&0xff) * fnvPrime
+	h = (h ^ v>>48&0xff) * fnvPrime
+	return (h ^ v>>56) * fnvPrime
+}
+
+// tableKey is a tagged predictor table's (index, partial tag) pair for
+// one component, as its hash of the history selects it.
+type tableKey struct {
+	idx uint64
+	tag uint16
+}
+
+// hash returns the table index of the current (full) history, oldest
+// value first.
 func (p *FCM) hash() uint64 {
-	var h uint64 = 14695981039346656037 // FNV offset basis
-	for _, v := range p.history {
-		// Fold each value and mix (FNV-1a over the 8 bytes, unrolled).
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
+	if !p.keyOK {
+		h := uint64(fnvOffset)
+		for _, v := range p.history {
+			h = fnvMix(h, v)
 		}
+		p.key, p.keyOK = h&p.mask, true
 	}
-	return h & p.mask
+	return p.key
 }
 
 // Predict implements Predictor.
@@ -155,9 +184,11 @@ func (p *FCM) Update(actual uint64) {
 		p.table[idx] = fcmEntry{value: actual, valid: true}
 		copy(p.history, p.history[1:])
 		p.history[p.order-1] = actual
+		p.keyOK = false
 		return
 	}
 	p.history = append(p.history, actual)
+	p.keyOK = false
 }
 
 // Name implements Predictor.
@@ -166,6 +197,7 @@ func (p *FCM) Name() string { return p.name }
 // Reset implements Predictor.
 func (p *FCM) Reset() {
 	p.history = p.history[:0]
+	p.keyOK = false
 	for i := range p.table {
 		p.table[i] = fcmEntry{}
 	}
@@ -190,8 +222,15 @@ func NewHybrid(order, tableBits int) *Hybrid {
 func (p *Hybrid) Predict() (uint64, bool) {
 	sv, sok := p.stride.Predict()
 	fv, fok := p.fcm.Predict()
+	return Tournament(sv, sok, fv, fok, p.sHits, p.fHits)
+}
+
+// Tournament is the hybrid's choice between a stride prediction (sv, sok)
+// and an FCM prediction (fv, fok), given each component's running hit
+// count: stride, unless only FCM predicts or FCM has strictly more hits.
+func Tournament(sv uint64, sok bool, fv uint64, fok bool, sHits, fHits int) (uint64, bool) {
 	switch {
-	case sok && (!fok || p.sHits >= p.fHits):
+	case sok && (!fok || sHits >= fHits):
 		return sv, true
 	case fok:
 		return fv, true

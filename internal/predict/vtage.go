@@ -41,7 +41,7 @@ const DefaultVTAGEBits = 10
 var vtageHistLens = [...]int{1, 2, 4, 8}
 
 const (
-	vtageMaxHist = 8    // longest component history; sizes the site ring
+	vtageMaxHist = 8    // longest component history; sizes the site ring (a power of two)
 	vtageTagMask = 0xff // 8-bit tags, realistic and alias-prone by design
 	vtageCtrMax  = 3
 	vtageUMax    = 3
@@ -87,41 +87,49 @@ type VTAGESite struct {
 	head int
 	last uint64
 	seen bool
+	// keys memoizes every component's table index and tag for the current
+	// history epoch. They depend only on the site ID and its history, not
+	// on the shared table's contents, so only Update and Reset (the two
+	// places the history moves) invalidate them.
+	keys   [len(vtageHistLens)]tableKey
+	keysOK bool
 }
 
-// histAt returns the i-th most recent value, i in [0, vtageMaxHist).
-func (s *VTAGESite) histAt(i int) uint64 {
-	return s.hist[((s.head-1-i)%vtageMaxHist+vtageMaxHist)%vtageMaxHist]
-}
-
-// hash folds the site ID and the last histLen values FNV-1a style and
-// splits the result into a component-table index and an 8-bit tag.
-func (s *VTAGESite) hash(histLen int) (idx uint64, tag uint16) {
-	var h uint64 = 14695981039346656037
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
+// componentKeys returns each component's (index, tag) for the current
+// history, computing them on first use in the epoch. Component ci hashes
+// the site ID and the vtageHistLens[ci] most recent values FNV-1a style,
+// newest first; each shorter history is a prefix of the longer ones, so
+// one pass over (id, h0..h7) yields every key. Components whose history is
+// not yet filled (n < length) are left stale; callers skip them.
+func (s *VTAGESite) componentKeys() *[len(vtageHistLens)]tableKey {
+	if s.keysOK {
+		return &s.keys
+	}
+	h := fnvMix(fnvOffset, uint64(s.id))
+	ci := 0
+	for i := 0; i < s.n && ci < len(vtageHistLens); i++ {
+		h = fnvMix(h, s.hist[(s.head-1-i)&(vtageMaxHist-1)])
+		if i+1 == vtageHistLens[ci] {
+			s.keys[ci] = tableKey{idx: h & s.t.mask, tag: uint16(h>>32) & vtageTagMask}
+			ci++
 		}
 	}
-	mix(uint64(s.id))
-	for i := 0; i < histLen; i++ {
-		mix(s.histAt(i))
-	}
-	return h & s.t.mask, uint16(h>>32) & vtageTagMask
+	s.keysOK = true
+	return &s.keys
 }
 
 // provider returns the longest-history component with a tag match, or
 // -1 when no component hits (the base predictor provides).
 func (s *VTAGESite) provider() (comp int, idx uint64) {
+	keys := s.componentKeys()
 	for ci := len(vtageHistLens) - 1; ci >= 0; ci-- {
 		if s.n < vtageHistLens[ci] {
 			continue
 		}
-		i, tag := s.hash(vtageHistLens[ci])
-		e := &s.t.comps[ci][i]
-		if e.ctr > 0 && e.tag == tag {
-			return ci, i
+		k := keys[ci]
+		e := &s.t.comps[ci][k.idx]
+		if e.ctr > 0 && e.tag == k.tag {
+			return ci, k.idx
 		}
 	}
 	return -1, 0
@@ -171,20 +179,21 @@ func (s *VTAGESite) Update(actual uint64) {
 			if s.n < vtageHistLens[ai] {
 				break
 			}
-			i, tag := s.hash(vtageHistLens[ai])
-			e := &s.t.comps[ai][i]
+			k := s.keys[ai] // filled by provider above
+			e := &s.t.comps[ai][k.idx]
 			if e.ctr == 0 || e.u == 0 {
-				*e = vtageEntry{tag: tag, value: actual, ctr: 1}
+				*e = vtageEntry{tag: k.tag, value: actual, ctr: 1}
 				break
 			}
 			e.u--
 		}
 	}
 	s.hist[s.head] = actual
-	s.head = (s.head + 1) % vtageMaxHist
+	s.head = (s.head + 1) & (vtageMaxHist - 1)
 	if s.n < vtageMaxHist {
 		s.n++
 	}
+	s.keysOK = false
 	s.last, s.seen = actual, true
 }
 
@@ -195,5 +204,6 @@ func (s *VTAGESite) Name() string { return "vtage" }
 // contract in the VTAGE doc comment.
 func (s *VTAGESite) Reset() {
 	s.n, s.head = 0, 0
+	s.keysOK = false
 	s.last, s.seen = 0, false
 }

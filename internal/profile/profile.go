@@ -211,85 +211,152 @@ func (p *Profile) Edge(fn string, from, to int) int64 {
 	return p.EdgeFreq[EdgeKey{Func: fn, From: from, To: to}]
 }
 
+// siteMeters scores every scheme of the zoo on one load site's value
+// stream. Hybrid has no predictor of its own: a predict.Hybrid fed the
+// same stream holds exactly this stride and FCM predictor and their hit
+// counts, so its tournament choice is derived from them rather than run on
+// a second Stride and a second FCM table.
 type siteMeters struct {
-	stride predict.RateMeter
-	fcm    predict.RateMeter
-	last   predict.RateMeter
-	lnv    predict.RateMeter
-	vtage  predict.RateMeter
-	hybrid predict.RateMeter
+	fn     *ir.Func // owning function, for the LoadKey built after the run
+	stride predict.Stride
+	fcm    *predict.FCM
+	last   predict.LastValue
+	lnv    *predict.LastN
+	vtage  *predict.VTAGESite
+	hits   [len(zooOrder)]int // indexed by Scheme
+	total  int
+}
+
+func newSiteMeters(fn *ir.Func) *siteMeters {
+	// Profiling meters every scheme of the zoo, whatever predictor the
+	// simulation will run with: cached profiles must be
+	// predictor-config-independent. The profiling VTAGE is a private
+	// per-site table — the profile measures each site's intrinsic
+	// predictability, not cross-site interference.
+	return &siteMeters{
+		fn:    fn,
+		fcm:   predict.NewFCM(predict.DefaultFCMOrder, predict.DefaultFCMTableBits),
+		lnv:   predict.NewLastN(predict.DefaultLNVDepth),
+		vtage: predict.NewVTAGE(predict.DefaultVTAGEBits).Site(0),
+	}
+}
+
+// score counts a hit for scheme s when its prediction (v, ok) was actual.
+func (m *siteMeters) score(s Scheme, v uint64, ok bool, actual uint64) {
+	if ok && v == actual {
+		m.hits[s]++
+	}
+}
+
+// observe scores every scheme's current prediction, then trains each
+// predictor — predict.RateMeter.Observe for the whole zoo at once.
+func (m *siteMeters) observe(actual uint64) {
+	sv, sok := m.stride.Predict()
+	fv, fok := m.fcm.Predict()
+	hv, hok := predict.Tournament(sv, sok, fv, fok, m.hits[SchemeStride], m.hits[SchemeFCM])
+	m.score(SchemeHybrid, hv, hok, actual)
+	m.score(SchemeStride, sv, sok, actual)
+	m.score(SchemeFCM, fv, fok, actual)
+	v, ok := m.last.Predict()
+	m.score(SchemeLast, v, ok, actual)
+	v, ok = m.lnv.Predict()
+	m.score(SchemeLNV, v, ok, actual)
+	v, ok = m.vtage.Predict()
+	m.score(SchemeVTAGE, v, ok, actual)
+	m.total++
+	m.stride.Update(actual)
+	m.fcm.Update(actual)
+	m.last.Update(actual)
+	m.lnv.Update(actual)
+	m.vtage.Update(actual)
+}
+
+// rate is scheme s's hit fraction, computed as predict.RateMeter.Rate.
+func (m *siteMeters) rate(s Scheme) float64 {
+	return float64(m.hits[s]) / float64(m.total)
+}
+
+// blockMeter counts one static block's executions and its outgoing CFG
+// edge traversals (indexed like Block.Succs).
+type blockMeter struct {
+	fn    *ir.Func
+	b     *ir.Block
+	count int64
+	succ  []int64
 }
 
 // Collect runs the program once and gathers value and frequency profiles.
+// The hooks key their meters by op and block pointer, so no string is
+// hashed per event; the string-keyed profile maps are built once, after
+// the run.
 func Collect(prog *ir.Program, entry string, args ...uint64) (*Profile, error) {
 	m := interp.New(prog)
-	sites := map[LoadKey]*siteMeters{}
-	prof := &Profile{
-		Loads:     map[LoadKey]*LoadProfile{},
-		BlockFreq: map[BlockKey]int64{},
-		EdgeFreq:  map[EdgeKey]int64{},
-	}
+	sites := map[*ir.Op]*siteMeters{}
+	blocks := map[*ir.Block]*blockMeter{}
 	// prevBlock tracks the last block seen per call depth, to attribute
-	// edges; a new block at depth d with the same function as the previous
+	// edges; a new block at depth d in the same function as the previous
 	// block at depth d traversed the edge between them.
-	prevBlock := map[int]BlockKey{}
+	var prevBlock []*blockMeter
 	m.Hooks.OnBlock = func(f *ir.Func, b *ir.Block, depth int) {
-		bk := BlockKey{Func: f.Name, Block: b.ID}
-		prof.BlockFreq[bk]++
-		if prev, ok := prevBlock[depth]; ok && prev.Func == f.Name {
+		bm := blocks[b]
+		if bm == nil {
+			bm = &blockMeter{fn: f, b: b, succ: make([]int64, len(b.Succs))}
+			blocks[b] = bm
+		}
+		bm.count++
+		for len(prevBlock) <= depth {
+			prevBlock = append(prevBlock, nil)
+		}
+		if prev := prevBlock[depth]; prev != nil && prev.fn == f {
 			// Guard against false edges between consecutive invocations of
 			// the same function at one depth: the edge must exist in the CFG.
-			for _, s := range f.Blocks[prev.Block].Succs {
+			for i, s := range prev.b.Succs {
 				if s == b.ID {
-					prof.EdgeFreq[EdgeKey{Func: f.Name, From: prev.Block, To: b.ID}]++
+					prev.succ[i]++
 					break
 				}
 			}
 		}
-		prevBlock[depth] = bk
+		prevBlock[depth] = bm
 	}
 	m.Hooks.OnLoad = func(f *ir.Func, op *ir.Op, addr int, value uint64, depth int) {
-		k := LoadKey{Func: f.Name, OpID: op.ID}
-		s := sites[k]
+		s := sites[op]
 		if s == nil {
-			// Profiling meters every scheme of the zoo, whatever predictor
-			// the simulation will run with: cached profiles must be
-			// predictor-config-independent. The profiling VTAGE is a
-			// private per-site table — the profile measures each site's
-			// intrinsic predictability, not cross-site interference.
-			s = &siteMeters{
-				stride: predict.RateMeter{P: predict.NewStride()},
-				fcm:    predict.RateMeter{P: predict.NewFCM(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)},
-				last:   predict.RateMeter{P: predict.NewLastValue()},
-				lnv:    predict.RateMeter{P: predict.NewLastN(predict.DefaultLNVDepth)},
-				vtage:  predict.RateMeter{P: predict.NewVTAGE(predict.DefaultVTAGEBits).Site(0)},
-				hybrid: predict.RateMeter{P: predict.NewHybrid(predict.DefaultFCMOrder, predict.DefaultFCMTableBits)},
-			}
-			sites[k] = s
+			s = newSiteMeters(f)
+			sites[op] = s
 		}
-		s.stride.Observe(value)
-		s.fcm.Observe(value)
-		s.last.Observe(value)
-		s.lnv.Observe(value)
-		s.vtage.Observe(value)
-		s.hybrid.Observe(value)
+		s.observe(value)
 	}
 	if _, err := m.Run(entry, args...); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	for k, s := range sites {
+	prof := &Profile{
+		Loads:     make(map[LoadKey]*LoadProfile, len(sites)),
+		BlockFreq: make(map[BlockKey]int64, len(blocks)),
+		EdgeFreq:  map[EdgeKey]int64{},
+		DynOps:    m.Steps,
+	}
+	for op, s := range sites {
+		k := LoadKey{Func: s.fn.Name, OpID: op.ID}
 		prof.Loads[k] = &LoadProfile{
 			Key:        k,
-			Count:      int64(s.stride.Total),
-			StrideRate: s.stride.Rate(),
-			FCMRate:    s.fcm.Rate(),
-			LastRate:   s.last.Rate(),
-			LNVRate:    s.lnv.Rate(),
-			VTAGERate:  s.vtage.Rate(),
-			HybridRate: s.hybrid.Rate(),
+			Count:      int64(s.total),
+			StrideRate: s.rate(SchemeStride),
+			FCMRate:    s.rate(SchemeFCM),
+			LastRate:   s.rate(SchemeLast),
+			LNVRate:    s.rate(SchemeLNV),
+			VTAGERate:  s.rate(SchemeVTAGE),
+			HybridRate: s.rate(SchemeHybrid),
 		}
 	}
-	prof.DynOps = m.Steps
+	for b, bm := range blocks {
+		prof.BlockFreq[BlockKey{Func: bm.fn.Name, Block: b.ID}] = bm.count
+		for i, n := range bm.succ {
+			if n > 0 {
+				prof.EdgeFreq[EdgeKey{Func: bm.fn.Name, From: b.ID, To: b.Succs[i]}] += n
+			}
+		}
+	}
 	return prof, nil
 }
 

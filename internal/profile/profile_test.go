@@ -3,10 +3,13 @@ package profile_test
 import (
 	"testing"
 
+	"vliwvp/internal/interp"
 	"vliwvp/internal/ir"
 	"vliwvp/internal/lang"
 	"vliwvp/internal/opt"
+	"vliwvp/internal/predict"
 	"vliwvp/internal/profile"
+	"vliwvp/internal/workload"
 )
 
 func compile(t *testing.T, src string) *ir.Program {
@@ -401,5 +404,58 @@ func main() {
 			t.Error("mutating a cloned edge count reached the original")
 		}
 		break
+	}
+}
+
+// TestCollectMatchesRateMeters replays every stock kernel's load-value
+// streams through one predict.RateMeter per scheme — hybrid on its own
+// predict.Hybrid — and requires every LoadProfile rate from Collect to be
+// bit-equal to them: memoized hashing and the derived hybrid change no
+// profiled rate.
+func TestCollectMatchesRateMeters(t *testing.T) {
+	for _, b := range workload.All() {
+		prog, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := profile.Collect(prog, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := map[profile.LoadKey][]uint64{}
+		m := interp.New(prog)
+		m.Hooks.OnLoad = func(f *ir.Func, op *ir.Op, addr int, value uint64, depth int) {
+			k := profile.LoadKey{Func: f.Name, OpID: op.ID}
+			streams[k] = append(streams[k], value)
+		}
+		if _, err := m.Run("main"); err != nil {
+			t.Fatal(err)
+		}
+		if len(prof.Loads) != len(streams) {
+			t.Fatalf("%s: %d profiled sites, %d load streams", b.Name, len(prof.Loads), len(streams))
+		}
+		for k, seq := range streams {
+			lp := prof.Loads[k]
+			if lp == nil || lp.Count != int64(len(seq)) {
+				t.Fatalf("%s %v: profile %+v, stream of %d values", b.Name, k, lp, len(seq))
+			}
+			want := map[profile.Scheme]predict.Predictor{
+				profile.SchemeStride: predict.NewStride(),
+				profile.SchemeFCM:    predict.NewFCM(predict.DefaultFCMOrder, predict.DefaultFCMTableBits),
+				profile.SchemeLast:   predict.NewLastValue(),
+				profile.SchemeLNV:    predict.NewLastN(predict.DefaultLNVDepth),
+				profile.SchemeVTAGE:  predict.NewVTAGE(predict.DefaultVTAGEBits).Site(0),
+				profile.SchemeHybrid: predict.NewHybrid(predict.DefaultFCMOrder, predict.DefaultFCMTableBits),
+			}
+			for s, p := range want {
+				meter := predict.RateMeter{P: p}
+				for _, v := range seq {
+					meter.Observe(v)
+				}
+				if got := lp.RateOf(s); got != meter.Rate() {
+					t.Errorf("%s %v: %v rate %v, RateMeter %v", b.Name, k, s, got, meter.Rate())
+				}
+			}
+		}
 	}
 }
